@@ -65,8 +65,14 @@ let successors b = successors_of_term b.term
 let distinct_successors b =
   List.sort_uniq compare (successors b)
 
-(** [has_successor b l] is true iff [l] is a CFG successor of [b]. *)
-let has_successor b l = List.mem l (successors b)
+(** [has_successor b l] is true iff [l] is a CFG successor of [b];
+    O(out-degree), allocation-free. *)
+let has_successor b l =
+  match b.term with
+  | Exit -> false
+  | Goto t -> t = l
+  | Branch { t; f } -> t = l || f = l
+  | Multiway ts -> Array.mem l ts
 
 (** [is_cti b] is true iff the block ends in an instruction that can
     redirect fetch in at least one layout (everything except [Exit];

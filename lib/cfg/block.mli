@@ -44,7 +44,8 @@ val successors : t -> label list
 (** Distinct CFG successors, sorted increasingly. *)
 val distinct_successors : t -> label list
 
-(** [has_successor b l] is true iff [l] is a CFG successor of [b]. *)
+(** [has_successor b l] is true iff [l] is a CFG successor of [b];
+    O(out-degree).  To test many transfers use {!Cfg.edge_test}. *)
 val has_successor : t -> label -> bool
 
 (** True iff the block ends in an instruction that can redirect fetch in

@@ -24,6 +24,25 @@ let block g l =
 (** CFG successors of block [l]. *)
 let successors g l = Block.successors (block g l)
 
+(** [edge_test g] is a CFG-edge membership test [src dst], O(1) for
+    queries grouped by source: a source's successors are marked once
+    each time it differs from the previous query's source.  Checking a
+    whole profile row by row so costs O(blocks + edges), where
+    {!Block.has_successor} per transfer is quadratic on wide [Multiway]
+    blocks.  Out-of-range successors and destinations are never edges.
+    @raise Invalid_argument if [src] is out of range. *)
+let edge_test g =
+  let nb = n_blocks g in
+  let mark = Array.make nb (-1) and cur = ref (-1) in
+  fun src dst ->
+    if src <> !cur then begin
+      cur := src;
+      List.iter
+        (fun l -> if l >= 0 && l < nb then mark.(l) <- src)
+        (successors g src)
+    end;
+    dst >= 0 && dst < nb && mark.(dst) = src
+
 (** [check ~strict g] is the invariant checker shared by {!make} and
     {!validate}: non-empty, entry in range, dense ids in order,
     non-negative sizes, successors in range, and terminators consistent

@@ -17,6 +17,13 @@ val block : t -> Block.label -> Block.t
 (** CFG successors of block [l]. *)
 val successors : t -> Block.label -> Block.label list
 
+(** [edge_test g] returns a membership test [src dst] for CFG edges,
+    O(1) when queries come grouped by source (a source's successors are
+    marked once per run of queries), so a whole profile checks in
+    O(blocks + edges).  Out-of-range labels are never edges.
+    @raise Invalid_argument if [src] is out of range. *)
+val edge_test : t -> Block.label -> Block.label -> bool
+
 (** [make ~name ~entry blocks] builds and validates a CFG: non-empty,
     entry in range, ids dense and in order, successors in range.
     @raise Invalid_argument if validation fails. *)

@@ -32,7 +32,7 @@ let run ?(rules = Rules.all) (ctx : Rules.ctx) : report =
   Metrics.incr ~n:infos Metrics.Lint_infos;
   { diags; errors; warnings; infos }
 
-let analyze ?rules ?profile cfgs = run ?rules { Rules.cfgs; profile }
+let analyze ?rules ?profile cfgs = run ?rules (Rules.context ?profile cfgs)
 
 (* ------------------------------------------------------------------ *)
 (* typed-error bridge                                                  *)

@@ -26,8 +26,14 @@ module D = Diagnostic
 
 (** What the rules look at: the program's CFGs and, when available, the
     training profile.  CFG-only lint (no profile collected yet) simply
-    skips the profile rules. *)
-type ctx = { cfgs : Cfg.t array; profile : Profile.t option }
+    skips the profile rules.  [rows_sound.(fid)] caches
+    {!proc_rows_sound} for each procedure the profile covers, computed
+    once by {!context} for the four aggregate rules that need it. *)
+type ctx = {
+  cfgs : Cfg.t array;
+  profile : Profile.t option;
+  rows_sound : bool array;
+}
 
 type rule = {
   id : string;  (** stable kebab-case rule id *)
@@ -66,17 +72,12 @@ let proc_rows_sound (g : Cfg.t) (p : Profile.proc) =
   sound g
   && Array.length p.Profile.freqs = Cfg.n_blocks g
   &&
+  let is_edge = Cfg.edge_test g in
   try
     Array.iteri
       (fun src row ->
         Array.iter
-          (fun (dst, n) ->
-            if
-              n <= 0
-              || dst < 0
-              || dst >= Cfg.n_blocks g
-              || not (Block.has_successor (Cfg.block g src) dst)
-            then raise Exit)
+          (fun (dst, n) -> if n <= 0 || not (is_edge src dst) then raise Exit)
           row)
       p.Profile.freqs;
     true
@@ -90,6 +91,15 @@ let shared_procs (ctx : ctx) =
   | Some t ->
       let n = min (Array.length ctx.cfgs) (Array.length t.Profile.procs) in
       List.init n (fun fid -> (fid, ctx.cfgs.(fid), t.Profile.procs.(fid)))
+
+(** [context ?profile cfgs] is the rules' input, with the per-procedure
+    row soundness computed once. *)
+let context ?profile cfgs =
+  let ctx = { cfgs; profile; rows_sound = [||] } in
+  let sound_rows =
+    List.map (fun (_, g, p) -> proc_rows_sound g p) (shared_procs ctx)
+  in
+  { ctx with rows_sound = Array.of_list sound_rows }
 
 (** Total recorded transfers into each block of one procedure (bounds
     respected even on malformed rows). *)
@@ -533,15 +543,12 @@ and prof_non_edge =
                let nb = Cfg.n_blocks g in
                if Array.length p.Profile.freqs <> nb then []
                else
+                 let is_edge = Cfg.edge_test g in
                  Array.to_list p.Profile.freqs
                  |> List.mapi (fun src row ->
                         Array.to_list row
                         |> List.filter_map (fun (dst, _) ->
-                               if
-                                 dst >= 0 && dst < nb
-                                 && not
-                                      (Block.has_successor (Cfg.block g src)
-                                         dst)
+                               if dst >= 0 && dst < nb && not (is_edge src dst)
                                then
                                  Some
                                    (diag prof_non_edge
@@ -608,7 +615,7 @@ and prof_flow_conservation =
       (fun ctx ->
         shared_procs ctx
         |> List.concat_map (fun (fid, g, p) ->
-               if not (proc_rows_sound g p) then []
+               if not ctx.rows_sound.(fid) then []
                else begin
                  let inflow = inflows g p in
                  Array.to_list g.Cfg.blocks
@@ -688,7 +695,7 @@ and prof_cold_branch =
         shared_procs ctx
         |> List.concat_map (fun (fid, g, p) ->
                if
-                 (not (proc_rows_sound g p))
+                 (not ctx.rows_sound.(fid))
                  || Profile.total_transfers p = 0
                then []
                else
@@ -729,7 +736,7 @@ and prof_cold_ratio =
         shared_procs ctx
         |> List.filter_map (fun (fid, g, p) ->
                if
-                 (not (proc_rows_sound g p))
+                 (not ctx.rows_sound.(fid))
                  || Profile.total_transfers p = 0
                then None
                else
@@ -878,7 +885,7 @@ and ana_estimate_divergence =
         shared_procs ctx
         |> List.filter_map (fun (fid, g, p) ->
                if
-                 (not (proc_rows_sound g p)) || Profile.total_transfers p = 0
+                 (not ctx.rows_sound.(fid)) || Profile.total_transfers p = 0
                then None
                else begin
                  let est = Ba_analysis.Estimate.proc g in

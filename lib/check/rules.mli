@@ -3,8 +3,18 @@
     docs/ANALYSIS.md for the rendered catalogue. *)
 
 (** What the rules look at.  CFG-only lint (no profile collected)
-    skips the profile rules. *)
-type ctx = { cfgs : Ba_cfg.Cfg.t array; profile : Ba_profile.Profile.t option }
+    skips the profile rules.  [rows_sound] caches, per procedure the
+    profile covers, whether its rows are safe to aggregate (build with
+    {!context}). *)
+type ctx = {
+  cfgs : Ba_cfg.Cfg.t array;
+  profile : Ba_profile.Profile.t option;
+  rows_sound : bool array;
+}
+
+(** The rules' input, with the per-procedure row soundness computed
+    once. *)
+val context : ?profile:Ba_profile.Profile.t -> Ba_cfg.Cfg.t array -> ctx
 
 type rule = {
   id : string;  (** stable kebab-case rule id, e.g. ["cfg-unreachable"] *)

@@ -10,8 +10,9 @@
     untouched.
 
     The catalogue (see docs/OBSERVABILITY.md):
-    - solver work: 2-opt / 3-opt improving moves, double-bridge kicks,
-      restarts (construction starts), exact vs heuristic solves;
+    - solver work: 2-opt / 3-opt improving moves, double-bridge kicks
+      (tried and accepted), ops replayed by kick undos, restarts
+      (construction starts), exact vs heuristic solves;
     - degradation: budget exhaustions, fallback transitions;
     - engine: tasks executed;
     - validation: lint diagnostics by severity, alignment certificates
@@ -48,6 +49,8 @@ type counter =
   | Run_ns_two_level_repr  (** ns spent inside 3-Opt runs, two-level *)
   | Segment_splits  (** two-level segment boundary splits *)
   | Segment_rebalances  (** two-level O(n) rebuilds *)
+  | Kicks_accepted  (** double-bridge kicks that improved their run *)
+  | Undo_ops  (** tour ops replayed to undo rejected kicks *)
 
 let all_counters =
   [
@@ -79,6 +82,8 @@ let all_counters =
     (Run_ns_two_level_repr, "solver.run_ns.two_level_repr");
     (Segment_splits, "solver.segment_splits");
     (Segment_rebalances, "solver.segment_rebalances");
+    (Kicks_accepted, "solver.kicks_accepted");
+    (Undo_ops, "solver.undo_ops");
   ]
 
 let counter_name c = List.assoc c all_counters
@@ -112,6 +117,8 @@ let counter_index = function
   | Run_ns_two_level_repr -> 25
   | Segment_splits -> 26
   | Segment_rebalances -> 27
+  | Kicks_accepted -> 28
+  | Undo_ops -> 29
 
 let n_counters = List.length all_counters
 let counters : int Atomic.t array = Array.init n_counters (fun _ -> Atomic.make 0)

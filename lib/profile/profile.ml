@@ -137,16 +137,14 @@ let validate_proc (g : Cfg.t) (p : proc) =
     Error "profile has wrong number of blocks"
   else
     let bad = ref None in
+    let is_edge = Cfg.edge_test g in
     Array.iteri
       (fun src row ->
         Array.iter
           (fun (dst, n) ->
             if n <= 0 && !bad = None then
               bad := Some (Printf.sprintf "non-positive count on %d->%d" src dst);
-            if
-              (dst < 0 || dst >= Cfg.n_blocks g
-              || not (Block.has_successor (Cfg.block g src) dst))
-              && !bad = None
+            if (not (is_edge src dst)) && !bad = None
             then bad := Some (Printf.sprintf "%d->%d is not a CFG edge" src dst))
           row)
       p.freqs;
@@ -182,6 +180,7 @@ let validate (cfgs : Cfg.t array) (t : t) :
                  what = "blocks";
                })
         else
+          let is_edge = Cfg.edge_test g in
           Array.iteri
             (fun src row ->
               Array.iter
@@ -204,7 +203,7 @@ let validate (cfgs : Cfg.t array) (t : t) :
                            dst = Some dst;
                            reason = "dangling destination label";
                          })
-                  else if not (Block.has_successor (Cfg.block g src) dst) then
+                  else if not (is_edge src dst) then
                     fail
                       (Invalid_profile
                          {

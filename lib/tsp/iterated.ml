@@ -6,7 +6,12 @@
     exhaustion, then performs a number of {e iterations}, each consisting
     of a random double-bridge 4-Opt kick [20] followed by 3-Opt
     re-optimization; a worsening iteration is undone.  The best tour over
-    all runs is returned.  The paper uses 10 runs of 2·N iterations. *)
+    all runs is returned.  The paper uses 10 runs of 2·N iterations.
+
+    An iteration costs O((moves + 1)·√n), not O(n): the kick is a T4
+    segment swap applied in place, the run's cost is kept from move
+    gains, and a worsening iteration is undone by replaying its logged
+    ops inverted ({!Three_opt.undo}; DESIGN.md §6). *)
 
 type config = {
   runs : int;  (** independent restarts (paper: 10) *)
@@ -41,30 +46,30 @@ type stats = {
   best_cost : int;  (** directed cost of the best tour *)
   runs_with_best : int;  (** how many runs ended at the best cost *)
   kicks : int;  (** total kicks over all runs *)
+  kicks_accepted : int;  (** kicks that improved their run's best tour *)
+  undo_ops : int;  (** tour ops replayed to undo rejected kicks *)
   moves_2opt : int;
   moves_3opt : int;
+  scans_skipped : int;  (** scans elided by the don't-look stamps *)
   timed_out : bool;  (** the budget ran out before the search finished *)
 }
 
 (* ------------------------------------------------------------------ *)
 
-(** Overwrite the search state's tour (bumps the don't-look version). *)
-let set_tour = Three_opt.set_tour
-
-(** Random double-bridge kick that never cuts a locked pair edge.
-    Returns the boundary cities whose don't-look bits must be cleared. *)
+(** Random double-bridge kick that never cuts a locked pair edge,
+    applied in place ({!Three_opt.swap_segments}).  Returns the
+    boundary cities whose don't-look bits must be cleared. *)
 let double_bridge (st : Three_opt.state) rng =
   let s = st.Three_opt.s in
   let n = s.Sym.nn in
-  let t = Three_opt.tour st in
-  (* make sure the wrap-around edge (t[n-1], t[0]) is not locked; the
-     rotation does not change the cycle *)
-  if Sym.is_locked s t.(n - 1) t.(0) then begin
-    let first = t.(0) in
-    Array.blit t 1 t 0 (n - 1);
-    t.(n - 1) <- first
-  end;
-  let ok p = not (Sym.is_locked s t.(p - 1) t.(p)) in
+  (* make sure the wrap-around edge (t[n-1], t[0]) is not locked: read
+     the tour one position on, the frame the kick rotates into when it
+     is not skipped (the rotation does not change the cycle) *)
+  let shift =
+    Sym.is_locked s (Three_opt.city_at st (n - 1)) (Three_opt.city_at st 0)
+  in
+  let at p = Three_opt.city_at st (if shift then (p + 1) mod n else p) in
+  let ok p = not (Sym.is_locked s (at (p - 1)) (at p)) in
   let rand_cut () =
     let p = ref (1 + Random.State.int rng (n - 1)) in
     while not (ok !p) do
@@ -86,29 +91,48 @@ let double_bridge (st : Three_opt.state) rng =
     let b = !p1 + !p2 + !p3 - a - c in
     (* A = t[0..a-1], B = t[a..b-1], C = t[b..c-1], D = t[c..n-1];
        double bridge: A C B D *)
-    let t' = Array.make n 0 in
-    let k = ref 0 in
-    let push lo hi =
-      for i = lo to hi do
-        t'.(!k) <- t.(i);
-        incr k
-      done
-    in
-    push 0 (a - 1);
-    push b (c - 1);
-    push a (b - 1);
-    push c (n - 1);
     let touched =
       [
-        t.(0); t.(n - 1);
-        t.(a - 1); t.(a);
-        t.(b - 1); t.(b);
-        t.(c - 1); t.(c);
+        at 0; at (n - 1);
+        at (a - 1); at a;
+        at (b - 1); at b;
+        at (c - 1); at c;
       ]
     in
-    set_tour st t';
+    Three_opt.swap_segments st ~shift ~a ~b ~c;
     touched
   end
+
+(** [iterate ?on_kick ~budget ~kicks st rng] runs up to [kicks]
+    double-bridge kicks on a descended state, each re-optimized by
+    3-Opt and undone unless it beats the best tour seen (the
+    {e current} tour is always that best between kicks: an accepted
+    kick becomes the new checkpoint, a rejected one is undone back to
+    it).  Stops early once [budget] is exhausted; [on_kick] hears each
+    kick's verdict.  Costs are compared as exact deltas from the
+    entry tour, so neither the magnitude of the symmetric sums nor the
+    n·m locked-edge offset enters.  Returns the kicks made and the kicks
+    accepted. *)
+let iterate ?(on_kick = ignore) ~budget ~kicks st rng =
+  let base = Three_opt.cost st in
+  let best = ref 0 and accepted = ref 0 and kick = ref 0 in
+  Three_opt.checkpoint st;
+  while !kick < kicks && not (Ba_robust.Budget.exhausted budget) do
+    incr kick;
+    let touched = double_bridge st rng in
+    List.iter (Three_opt.activate st) touched;
+    Three_opt.run ~budget st;
+    let delta = Three_opt.cost st - base in
+    let improved = delta < !best in
+    if improved then begin
+      best := delta;
+      incr accepted;
+      Three_opt.checkpoint st
+    end
+    else Three_opt.undo st;
+    on_kick improved
+  done;
+  (!kick, !accepted)
 
 (* ------------------------------------------------------------------ *)
 
@@ -136,7 +160,8 @@ let brute_force (d : Dtsp.t) =
     first (identity-start) construction always completes, so a valid
     tour is returned even for a zero budget. *)
 let solve ?(config = default) ?rng ?budget ?initial
-    ?(nbr_exec = Ba_engine.Executor.Seq) (d : Dtsp.t) : int array * stats =
+    ?(nbr_exec = Ba_engine.Executor.Seq) ?(on_kick = ignore) (d : Dtsp.t) :
+    int array * stats =
   let budget =
     match budget with
     | Some b -> b
@@ -149,8 +174,9 @@ let solve ?(config = default) ?rng ?budget ?initial
     let tour, c = brute_force d in
     Ba_obs.Metrics.incr Ba_obs.Metrics.Exact_solves;
     ( tour,
-      { best_cost = c; runs_with_best = config.runs; kicks = 0; moves_2opt = 0;
-        moves_3opt = 0; timed_out = false } )
+      { best_cost = c; runs_with_best = config.runs; kicks = 0;
+        kicks_accepted = 0; undo_ops = 0; moves_2opt = 0; moves_3opt = 0;
+        scans_skipped = 0; timed_out = false } )
   end
   else begin
     let rng =
@@ -163,7 +189,8 @@ let solve ?(config = default) ?rng ?budget ?initial
     let kicks_per_run = min config.max_kicks (config.kick_factor * n) in
     let best_tour = ref None and best_cost = ref max_int in
     let runs_with_best = ref 0 in
-    let total_kicks = ref 0 and m2 = ref 0 and m3 = ref 0 in
+    let total_kicks = ref 0 and accepted = ref 0 and undone = ref 0 in
+    let m2 = ref 0 and m3 = ref 0 and skipped = ref 0 in
     let run = ref 0 in
     (* run 0 (the identity start) always executes so that an exhausted
        budget still yields a valid tour; later runs are skipped once the
@@ -188,30 +215,26 @@ let solve ?(config = default) ?rng ?budget ?initial
         Three_opt.init ~repr:config.tour_repr s ~nbr
           ~tour:(Sym.expand s start_directed)
       in
+      let start_cost = Three_opt.cost st in
       Three_opt.activate_all st;
       Three_opt.run ~budget st;
-      let run_best = ref (Three_opt.tour st) in
-      let run_best_cost = ref (Three_opt.cost st) in
-      let kick = ref 0 in
-      while !kick < kicks_per_run && not (Ba_robust.Budget.exhausted budget) do
-        incr kick;
-        incr total_kicks;
-        let touched = double_bridge st rng in
-        List.iter (Three_opt.activate st) touched;
-        Three_opt.run ~budget st;
-        let c = Three_opt.cost st in
-        if c < !run_best_cost then begin
-          run_best_cost := c;
-          run_best := Three_opt.tour st
-        end
-        else set_tour st !run_best
-      done;
+      let kicks, kicked = iterate ~on_kick ~budget ~kicks:kicks_per_run st rng in
+      total_kicks := !total_kicks + kicks;
+      accepted := !accepted + kicked;
       m2 := !m2 + st.Three_opt.moves_2opt;
       m3 := !m3 + st.Three_opt.moves_3opt;
-      let directed_cost = !run_best_cost + s.Sym.offset in
+      skipped := !skipped + st.Three_opt.scans_skipped;
+      undone := !undone + st.Three_opt.undo_ops;
+      let run_tour = Three_opt.tour st in
+      assert (Three_opt.cost st = Sym.tour_cost s run_tour);
+      (* the run's gain is an exact delta from its start tour, whose
+         directed cost is small: no n·m offset, no wrap *)
+      let directed_cost =
+        Dtsp.tour_cost d start_directed + (Three_opt.cost st - start_cost)
+      in
       if directed_cost < !best_cost then begin
         best_cost := directed_cost;
-        best_tour := Some (Sym.extract s !run_best);
+        best_tour := Some (Sym.extract s run_tour);
         runs_with_best := 1
       end
       else if directed_cost = !best_cost then incr runs_with_best;
@@ -225,6 +248,8 @@ let solve ?(config = default) ?rng ?budget ?initial
     Ba_obs.Metrics.(
       incr Heuristic_solves;
       incr ~n:!total_kicks Kicks;
+      incr ~n:!accepted Kicks_accepted;
+      incr ~n:!undone Undo_ops;
       incr ~n:!run Restarts;
       set_gauge Neighbor_width config.neighbors;
       if timed_out then incr Budget_exhaustions);
@@ -233,8 +258,11 @@ let solve ?(config = default) ?rng ?budget ?initial
         best_cost = !best_cost;
         runs_with_best = !runs_with_best;
         kicks = !total_kicks;
+        kicks_accepted = !accepted;
+        undo_ops = !undone;
         moves_2opt = !m2;
         moves_3opt = !m3;
+        scans_skipped = !skipped;
         timed_out;
       } )
   end

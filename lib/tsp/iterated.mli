@@ -24,19 +24,36 @@ type stats = {
   best_cost : int;  (** directed cost of the best tour *)
   runs_with_best : int;  (** how many runs ended at the best cost *)
   kicks : int;
+  kicks_accepted : int;  (** kicks that improved their run's best tour *)
+  undo_ops : int;  (** tour ops replayed to undo rejected kicks *)
   moves_2opt : int;
   moves_3opt : int;
+  scans_skipped : int;  (** scans elided by the don't-look stamps *)
   timed_out : bool;  (** the budget ran out before the search finished *)
 }
 
-(** Overwrite a search state's tour (positions recomputed, don't-look
-    version bumped; alias of {!Three_opt.set_tour}). *)
-val set_tour : Three_opt.state -> int array -> unit
-
-(** Random double-bridge kick that never cuts a locked pair edge;
-    returns the boundary cities to re-activate (empty if the kick
-    degenerated and was skipped). *)
+(** Random double-bridge kick that never cuts a locked pair edge,
+    applied in place ({!Three_opt.swap_segments}: O(√n) on the
+    two-level tour; logged when the state is checkpointed); returns the boundary cities to
+    re-activate (empty if the kick degenerated and was skipped). *)
 val double_bridge : Three_opt.state -> Random.State.t -> int list
+
+(** [iterate ?on_kick ~budget ~kicks st rng] is one run's kick phase:
+    up to [kicks] double-bridge kicks on a descended state, each
+    re-optimized by 3-Opt and undone ({!Three_opt.undo}) unless it
+    beats the run's best tour, which is the current tour whenever a
+    kick starts and when [iterate] returns.  Stops early once [budget]
+    is exhausted; [on_kick] (default: nothing) hears each kick's
+    verdict ([true] = accepted).  Costs are compared as exact deltas
+    from the entry tour.  Returns the kicks made and the kicks
+    accepted. *)
+val iterate :
+  ?on_kick:(bool -> unit) ->
+  budget:Ba_robust.Budget.t ->
+  kicks:int ->
+  Three_opt.state ->
+  Random.State.t ->
+  int * int
 
 (** [solve ?config ?rng ?budget d] returns the best directed tour found
     and solver statistics.  Deterministic for a fixed seed and unlimited
@@ -59,12 +76,19 @@ val double_bridge : Three_opt.state -> Random.State.t -> int list
 
     [nbr_exec] (default sequential) parallelizes neighbor-list
     construction on the engine's domain pool; the lists — and hence the
-    whole trajectory — are bit-identical at any job count. *)
+    whole trajectory — are bit-identical at any job count.
+
+    Each kick costs O((moves + 1)·√n): the kick is applied in place,
+    the run's cost is maintained from move gains, and a rejected kick
+    is undone by replaying its logged ops ({!Three_opt.undo}).
+    [on_kick] (default: nothing) is called after every kick with
+    whether it was accepted. *)
 val solve :
   ?config:config ->
   ?rng:Random.State.t ->
   ?budget:Ba_robust.Budget.t ->
   ?initial:int array ->
   ?nbr_exec:Ba_engine.Executor.t ->
+  ?on_kick:(bool -> unit) ->
   Dtsp.t ->
   int array * stats

@@ -25,7 +25,22 @@
     changed since the scan failed, and [try_city] is side-effect-free
     on failure, so the skip is provably unobservable.  Bits-on and
     bits-off runs therefore produce identical tours, costs, and move
-    counts; only [scans_skipped] differs. *)
+    counts; only [scans_skipped] differs.
+
+    {b O(Δ) bookkeeping.}  The state carries its tour cost, updated
+    from the gain of every applied move and the six-edge delta of every
+    kick, so reading it is O(1).  After a [checkpoint] every tour
+    operation is logged, and [undo] restores the checkpointed tour by
+    replaying the inverses newest first (DESIGN.md §6) — the iterated
+    search's rejected kick costs O(ops·√n), not an O(n) rebuild. *)
+
+type reconnection = Tour_repr.reconnection = T3 | T4 | T5 | T6
+
+(** A logged tour operation, in absolute positions. *)
+type op =
+  | Reverse of int * int  (** [Tour_repr.reverse l r] *)
+  | Reconnect of reconnection * int * int * int  (** [ty, pi, jj, kk] *)
+  | Shift of int  (** [Tour_repr.shift d] *)
 
 type state = {
   s : Sym.t;
@@ -39,6 +54,11 @@ type state = {
   last_fail : int array;  (** per city: version at last failed scan, −1 never *)
   mutable scans_skipped : int;  (** scans elided by the don't-look stamps *)
   dont_look : bool;
+  mutable cost : int;  (** symmetric cost of the current tour *)
+  mutable logging : bool;  (** record ops (from the first [checkpoint]) *)
+  mutable log : op list;  (** ops since the checkpoint, newest first *)
+  mutable checkpoint_cost : int;
+  mutable undo_ops : int;  (** ops replayed by [undo] so far *)
   (* y-side scratch of the 3-opt candidate scan: for each candidate y
      of the removed edge's head b, the quantities that do not depend on
      the other candidate x — computed once per scan instead of once per
@@ -93,6 +113,11 @@ let init ?(dont_look = true) ?(repr = Tour_repr.Auto) ?spans (s : Sym.t) ~nbr
     last_fail = Array.make n (-1);
     scans_skipped = 0;
     dont_look;
+    cost = Sym.tour_cost s tour;
+    logging = false;
+    log = [];
+    checkpoint_cost = 0;
+    undo_ops = 0;
     scr_dby = [||];
     scr_ry = [||];
     scr_ry1 = [||];
@@ -117,6 +142,43 @@ let set_tour st tour =
   if Array.length tour <> n then
     invalid_arg "Three_opt.set_tour: wrong tour size";
   Tour_repr.set_tour st.repr tour;
+  st.cost <- Sym.tour_cost st.s tour;
+  st.log <- [];
+  st.checkpoint_cost <- st.cost;
+  st.version <- st.version + 1
+
+(** Start (or restart) logging: a later [undo] returns to this tour. *)
+let checkpoint st =
+  st.logging <- true;
+  st.log <- [];
+  st.checkpoint_cost <- st.cost
+
+let record st op = if st.logging then st.log <- op :: st.log
+
+(** Restore the tour of the last [checkpoint] by replaying the inverse
+    of every logged op, newest first: a reversal is its own inverse, T3
+    too; T4(jj) undoes as T4(kk−jj), T5(jj) as T6(kk−jj) and T6(jj) as
+    T5(kk−jj); shift d as shift −d.  Positions are exact, so the tour is
+    the checkpointed array cell for cell.  Bumps [version] once, like
+    [set_tour]. *)
+let undo st =
+  if not st.logging then invalid_arg "Three_opt.undo: no checkpoint";
+  List.iter
+    (fun op ->
+      st.undo_ops <- st.undo_ops + 1;
+      match op with
+      | Reverse (l, r) -> Tour_repr.reverse st.repr l r
+      | Shift d -> Tour_repr.shift st.repr (-d)
+      | Reconnect (T3, pi, jj, kk) -> Tour_repr.reconnect st.repr ~pi ~jj ~kk T3
+      | Reconnect (T4, pi, jj, kk) ->
+          Tour_repr.reconnect st.repr ~pi ~jj:(kk - jj) ~kk T4
+      | Reconnect (T5, pi, jj, kk) ->
+          Tour_repr.reconnect st.repr ~pi ~jj:(kk - jj) ~kk T6
+      | Reconnect (T6, pi, jj, kk) ->
+          Tour_repr.reconnect st.repr ~pi ~jj:(kk - jj) ~kk T5)
+    st.log;
+  st.log <- [];
+  st.cost <- st.checkpoint_cost;
   st.version <- st.version + 1
 
 (** Mark a city to be re-examined. *)
@@ -134,23 +196,51 @@ let activate_all st =
 (** Reverse the cheaper side for a 2-opt move cutting after positions
     [pa] and [px] (removing edges (t[pa],t[pa+1]) and (t[px],t[px+1])).
     The side choice counts tour cells, so it is representation-
-    independent. *)
-let apply_2opt st ~pa ~px =
+    independent.  [gain] is the move's cost decrease. *)
+let apply_2opt st ~pa ~px ~gain =
   let n = nn st in
   let len_fwd = (px - pa + n) mod n in
   (* reversing positions pa+1..px, or equivalently px+1..pa *)
-  if len_fwd <= n - len_fwd then Tour_repr.reverse st.repr ((pa + 1) mod n) px
-  else Tour_repr.reverse st.repr ((px + 1) mod n) pa;
+  let l, r =
+    if len_fwd <= n - len_fwd then ((pa + 1) mod n, px) else ((px + 1) mod n, pa)
+  in
+  Tour_repr.reverse st.repr l r;
+  record st (Reverse (l, r));
+  st.cost <- st.cost - gain;
   st.moves_2opt <- st.moves_2opt + 1;
   st.version <- st.version + 1
 
-type reconnection = Tour_repr.reconnection = T3 | T4 | T5 | T6
-
 (** Apply a pure 3-opt reconnection with cuts after positions [pi],
     [pi+jj], [pi+kk] (see DESIGN.md §6 for the segment algebra). *)
-let apply_3opt st ~pi ~jj ~kk ty =
+let apply_3opt st ~pi ~jj ~kk ~gain ty =
   Tour_repr.reconnect st.repr ~pi ~jj ~kk ty;
+  record st (Reconnect (ty, pi, jj, kk));
+  st.cost <- st.cost - gain;
   st.moves_3opt <- st.moves_3opt + 1;
+  st.version <- st.version + 1
+
+(** The double-bridge kick in place: with cuts before positions
+    [0 < a < b < c < n], A B C D becomes A C B D — the T4 reconnection
+    with [pi = a−1], [jj = b−a], [kk = c−a].  With [shift] every
+    position first moves back by one (the rotation that keeps a locked
+    wrap-around edge out of the cuts; [a], [b], [c] are read in the
+    shifted frame).  The cost moves by the six-edge delta; [version] is
+    bumped once, as by [set_tour].  O(√n) two-level, O(c − a) flat
+    (plus O(n) for a flat shift). *)
+let swap_segments st ~shift ~a ~b ~c =
+  if shift then begin
+    Tour_repr.shift st.repr (-1);
+    record st (Shift (-1))
+  end;
+  let at p = Tour_repr.city_at st.repr p in
+  let a0 = at (a - 1) and a1 = at a and b0 = at (b - 1) and b1 = at b in
+  let c0 = at (c - 1) and c1 = at c in
+  let delta =
+    d st a0 b1 + d st c0 a1 + d st b0 c1 - d st a0 a1 - d st b0 b1 - d st c0 c1
+  in
+  Tour_repr.reconnect st.repr ~pi:(a - 1) ~jj:(b - a) ~kk:(c - a) T4;
+  record st (Reconnect (T4, a - 1, b - a, c - a));
+  st.cost <- st.cost + delta;
   st.version <- st.version + 1
 
 (** Search one improving move around city [a]; apply it and return [true],
@@ -182,8 +272,9 @@ let try_city st a =
             if gain > 0 then begin
               (* in forward reading, cuts are after a and after x;
                  in backward reading, after b' = pred a and after y *)
-              (if forward then apply_2opt st ~pa:(position st a) ~px:(position st x)
-               else apply_2opt st ~pa:(position st y) ~px:(position st b));
+              (if forward then
+                 apply_2opt st ~pa:(position st a) ~px:(position st x) ~gain
+               else apply_2opt st ~pa:(position st y) ~px:(position st b) ~gain);
               activate st a;
               activate st b;
               activate st x;
@@ -306,7 +397,7 @@ let try_city st a =
                      dab + d st x dd + d st y f - dax - dby - d st dd f
                    in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T3;
+                     apply_3opt st ~pi ~jj ~kk ~gain T3;
                      List.iter (activate st) [ a; b; x; y; dd; f ];
                      found := true
                    end
@@ -325,7 +416,7 @@ let try_city st a =
                    let c = prx and f = sy in
                    let gain = dab + d st c x + d st y f - dax - dby - d st c f in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T4;
+                     apply_3opt st ~pi ~jj ~kk ~gain T4;
                      List.iter (activate st) [ a; b; x; y; c; f ];
                      found := true
                    end
@@ -344,7 +435,7 @@ let try_city st a =
                    let c = prx and e = pry in
                    let gain = dab + d st c x + d st e y - dax - dby - d st e c in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T5;
+                     apply_3opt st ~pi ~jj ~kk ~gain T5;
                      List.iter (activate st) [ a; b; x; y; c; e ];
                      found := true
                    end
@@ -363,7 +454,7 @@ let try_city st a =
                    let c = pry and f = sx in
                    let gain = dab + d st c y + d st x f - dax - dby - d st c f in
                    if gain > 0 then begin
-                     apply_3opt st ~pi ~jj ~kk T6;
+                     apply_3opt st ~pi ~jj ~kk ~gain T6;
                      List.iter (activate st) [ a; b; x; y; c; f ];
                      found := true
                    end
@@ -434,5 +525,5 @@ let run ?budget st =
 (** Current tour (copied). *)
 let tour st = Tour_repr.to_array st.repr
 
-(** Current symmetric tour cost. *)
-let cost st = Sym.tour_cost st.s (tour st)
+(** Current symmetric tour cost (maintained incrementally; O(1)). *)
+let cost st = st.cost

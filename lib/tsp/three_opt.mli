@@ -12,7 +12,20 @@
     city's scan is skipped only when the tour is bit-identical to the
     one its last scan failed against ([last_fail.(c) = version]), so
     bits-on and bits-off runs produce identical tours, costs, and move
-    counts — only [scans_skipped] differs. *)
+    counts — only [scans_skipped] differs.
+
+    The state carries its tour cost (updated from each applied move's
+    gain and each kick's six-edge delta) and, after a [checkpoint], a
+    log of tour operations that [undo] replays inverted — so a rejected
+    kick costs O(ops·√n), not an O(n) rebuild. *)
+
+type reconnection = Tour_repr.reconnection = T3 | T4 | T5 | T6
+
+(** A logged tour operation, in absolute positions. *)
+type op =
+  | Reverse of int * int  (** [Tour_repr.reverse l r] *)
+  | Reconnect of reconnection * int * int * int  (** [ty, pi, jj, kk] *)
+  | Shift of int  (** [Tour_repr.shift d] *)
 
 type state = {
   s : Sym.t;
@@ -22,10 +35,16 @@ type state = {
   queue : int Queue.t;
   mutable moves_2opt : int;
   mutable moves_3opt : int;
-  mutable version : int;  (** tour mutation counter (moves + set_tour) *)
+  mutable version : int;
+      (** tour mutation counter (moves, kicks, undos, set_tour) *)
   last_fail : int array;  (** per city: version at last failed scan, −1 never *)
   mutable scans_skipped : int;  (** scans elided by the don't-look stamps *)
   dont_look : bool;
+  mutable cost : int;  (** symmetric cost of the current tour *)
+  mutable logging : bool;  (** record ops (from the first [checkpoint]) *)
+  mutable log : op list;  (** ops since the checkpoint, newest first *)
+  mutable checkpoint_cost : int;
+  mutable undo_ops : int;  (** ops replayed by [undo] so far *)
   mutable scr_dby : int array;  (** y-side scan scratch (see the .ml) *)
   mutable scr_ry : int array;
   mutable scr_ry1 : int array;
@@ -52,6 +71,25 @@ val init :
     [version] so stale stamps never suppress a needed rescan.
     @raise Invalid_argument on a wrong-length tour. *)
 val set_tour : state -> int array -> unit
+
+(** Start (or restart) the op log: a later [undo] returns to the
+    current tour. *)
+val checkpoint : state -> unit
+
+(** Restore the tour and cost of the last [checkpoint] by replaying the
+    logged ops' inverses, newest first: reversals and T3 undo
+    themselves, T4(jj) → T4(kk−jj), T5(jj) → T6(kk−jj), T6(jj) →
+    T5(kk−jj), shift d → shift −d.  Exact cell for cell; bumps
+    [version] once.
+    @raise Invalid_argument if the state was never checkpointed. *)
+val undo : state -> unit
+
+(** [swap_segments st ~shift ~a ~b ~c] applies the double-bridge kick
+    in place: cuts before positions [0 < a < b < c < n] turn A B C D
+    into A C B D (a T4 reconnection).  With [shift], every position
+    first moves back by one and [a]/[b]/[c] are read in that frame.
+    Updates the cost by the six-edge delta and bumps [version] once. *)
+val swap_segments : state -> shift:bool -> a:int -> b:int -> c:int -> unit
 
 (** Mark a city for (re-)examination. *)
 val activate : state -> int -> unit
@@ -90,5 +128,6 @@ val segments : state -> int
 val seg_splits : state -> int
 val rebalances : state -> int
 
-(** Current symmetric tour cost. *)
+(** Current symmetric tour cost; O(1), equal to [Sym.tour_cost] of
+    [tour] (maintained incrementally). *)
 val cost : state -> int

@@ -128,8 +128,8 @@ let flat_reverse f l r =
     f.ftour.(!j) <- ci;
     f.fpos.(cj) <- !i;
     f.fpos.(ci) <- !j;
-    i := (!i + 1) mod n;
-    j := (!j - 1 + n) mod n
+    i := (if !i = n - 1 then 0 else !i + 1);
+    j := (if !j = 0 then n - 1 else !j - 1)
   done
 
 let reverse r l r' =
@@ -142,6 +142,20 @@ let flat_scratch f len =
     f.scratch <- Stdlib.Array.make len 0;
   f.scratch
 
+(** Move every city's position by [d] (mod n): O(n) flat, O(1)
+    two-level (its rotation offset). *)
+let shift r d =
+  match r with
+  | T t -> Two_level.shift t d
+  | F f ->
+      let n = Stdlib.Array.length f.ftour in
+      let d = ((d mod n) + n) mod n in
+      let old = flat_scratch f n in
+      Stdlib.Array.blit f.ftour 0 old 0 n;
+      Stdlib.Array.blit old 0 f.ftour d (n - d);
+      Stdlib.Array.blit old (n - d) f.ftour 0 d;
+      Stdlib.Array.iteri (fun p c -> f.fpos.(c) <- p) f.ftour
+
 (** Apply a pure 3-opt reconnection with cuts after positions [pi],
     [pi+jj], [pi+kk] on the flat arrays.  With segment 1 = offsets
     [1..jj] and segment 2 = offsets [jj+1..kk] from [pi], the final
@@ -152,7 +166,8 @@ let flat_scratch f len =
     writes. *)
 let flat_reconnect f ~pi ~jj ~kk ty =
   let n = Stdlib.Array.length f.ftour in
-  let cell off = (pi + off) mod n in
+  (* pi < n and off ≤ kk < n: one conditional subtract, no division *)
+  let cell off = let p = pi + off in if p >= n then p - n else p in
   let get off = f.ftour.(cell off) in
   let set off c =
     let p = cell off in

@@ -53,6 +53,10 @@ val to_array : t -> int array
     (inclusive): O(range) flat, O(√n) amortized two-level. *)
 val reverse : t -> int -> int -> unit
 
+(** [shift t d] moves every city's position by [d] (mod n), keeping
+    the cyclic order: O(n) flat, O(1) two-level. *)
+val shift : t -> int -> unit
+
 (** The four pure-3-opt reconnection types (DESIGN.md §6): with cuts
     after positions [pi], [pi+jj], [pi+kk], segment 1 = offsets
     [1..jj] from [pi] and segment 2 = offsets [jj+1..kk], the window

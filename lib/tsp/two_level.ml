@@ -307,6 +307,10 @@ let reverse t l r =
       if t.nsegs > t.max_segs then rebalance t
     end
 
+(** [shift t d] moves every city's absolute position by [d] (mod n):
+    only the rotation offset changes, O(1). *)
+let shift t d = t.rot <- (((t.rot + d) mod t.n) + t.n) mod t.n
+
 (** Replace the tour wholesale (rebuilds; O(n)). *)
 let set_tour t tour =
   if Array.length tour <> t.n then invalid_arg "Two_level.set_tour: wrong size";

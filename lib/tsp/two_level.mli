@@ -45,6 +45,10 @@ val pred : t -> int -> int
     (inclusive); O(√n) amortized. *)
 val reverse : t -> int -> int -> unit
 
+(** [shift t d] moves every city's absolute position by [d] (mod n);
+    O(1). *)
+val shift : t -> int -> unit
+
 (** Replace the tour wholesale (O(n) rebuild). *)
 val set_tour : t -> int array -> unit
 

@@ -192,8 +192,8 @@ let prop_converged_pass_all_skipped =
           (st.Three_opt.scans_skipped - skipped);
       true)
 
-(** [set_tour] (the kick path) must invalidate every stamp, so no city
-    can be skipped against the new tour it was never scanned on. *)
+(** [set_tour] must invalidate every stamp, so no city can be skipped
+    against the new tour it was never scanned on. *)
 let prop_set_tour_invalidates =
   QCheck2.Test.make ~count:150
     ~name:"set_tour bumps version past every stamp" gen_seed (fun seed ->
@@ -205,7 +205,7 @@ let prop_set_tour_invalidates =
       let nn = Array.length t in
       let rot = Array.init nn (fun i -> t.((i + 2) mod nn)) in
       let v = st.Three_opt.version in
-      Iterated.set_tour st rot;
+      Three_opt.set_tour st rot;
       if st.Three_opt.version <= v then
         QCheck2.Test.fail_reportf "set_tour did not bump the version";
       if
