@@ -13,7 +13,7 @@
      dune exec bench/solver_bench.exe -- \
        [--sizes 64,256,1024,4096] [--kicks 256] [--seed 7] \
        [--family syn|loop-nest|switch|interp] [--jobs N] \
-       [--mode auto|exact|select] [--repr auto|array|two-level] \
+       [--repr auto|array|two-level] \
        [--certify] [--variant NAME] [--json FILE]
 
    Output is a single JSON document (stdout, or FILE with --json); the
@@ -84,7 +84,7 @@ let percentile p samples =
       let len = Array.length a in
       a.(min (len - 1) (int_of_float (p *. float_of_int len)))
 
-let run_size ~family ~seed ~kicks ~k ~mode ~repr ~exec ~certify n =
+let run_size ~family ~seed ~kicks ~k ~repr ~exec ~certify n =
   let g, prof =
     match family with
     | None ->
@@ -99,7 +99,7 @@ let run_size ~family ~seed ~kicks ~k ~mode ~repr ~exec ~certify n =
   in
   let d = inst.Reduction.dtsp in
   let s, sym_s, _ = measured (fun () -> Sym.of_dtsp d) in
-  let nbr, nbr_s, _ = measured (fun () -> Neighbors.of_sym ~mode ~exec s ~k) in
+  let nbr, nbr_s, _ = measured (fun () -> Neighbors.of_sym ~exec s ~k) in
   let instance_words = Obj.reachable_words (Obj.repr (d, s)) in
   (* throughput: identity start, descent to local optimality, then a
      fixed number of double-bridge kicks each re-optimized; kicks are
@@ -136,8 +136,7 @@ let run_size ~family ~seed ~kicks ~k ~mode ~repr ~exec ~certify n =
       let claimed = Reduction.layout_cost inst order in
       let verdict, cert_s =
         time (fun () ->
-            Certify.proc_cert ~claimed ~hk:Certify.Skip
-              ~sym_check:(n <= Certify.dense_instance_threshold)
+            Certify.proc_cert ~claimed ~hk:Certify.Skip ~sym_check:true
               ~proc:0 p g ~profile:prof ~order)
       in
       (match verdict with
@@ -198,7 +197,7 @@ let entry_json e =
     | Some (ok, cert_s) ->
         [ ("certified", Json.Bool ok); ("cert_s", Json.Float cert_s) ])
 
-let doc ~variant ~family ~seed ~kicks ~k ~jobs ~mode ~repr entries =
+let doc ~variant ~family ~seed ~kicks ~k ~jobs ~repr entries =
   Json.Obj
     [
       ("schema", Json.String "solver-bench/3");
@@ -210,7 +209,8 @@ let doc ~variant ~family ~seed ~kicks ~k ~jobs ~mode ~repr entries =
       ("kicks", Json.Int kicks);
       ("neighbors", Json.Int k);
       ("jobs", Json.Int jobs);
-      ("mode", Json.String mode);
+      (* solver-bench/3 keeps the field; there is one neighbor order *)
+      ("mode", Json.String "select");
       ("repr", Json.String repr);
       ("entries", Json.List (List.map entry_json entries));
     ]
@@ -222,7 +222,6 @@ let () =
   and k = ref 12
   and family = ref None
   and jobs = ref 1
-  and mode = ref Neighbors.Auto
   and repr = ref Ba_tsp.Tour_repr.Auto
   and certify = ref false
   and variant = ref "heap-select"
@@ -243,16 +242,6 @@ let () =
             prerr_endline ("solver_bench: unknown family " ^ v);
             exit 2)
     | "--jobs" :: v :: rest -> jobs := int_of_string v; parse rest
-    | "--mode" :: v :: rest ->
-        (mode :=
-           match v with
-           | "auto" -> Neighbors.Auto
-           | "exact" -> Neighbors.Exact
-           | "select" -> Neighbors.Select
-           | _ ->
-               prerr_endline ("solver_bench: unknown mode " ^ v);
-               exit 2);
-        parse rest
     | "--repr" :: v :: rest -> (
         match Ba_tsp.Tour_repr.kind_of_string v with
         | Some r -> repr := r; parse rest
@@ -273,7 +262,7 @@ let () =
       (fun n ->
         let e =
           run_size ~family:!family ~seed:!seed ~kicks:!kicks ~k:!k
-            ~mode:!mode ~repr:!repr ~exec ~certify:!certify n
+            ~repr:!repr ~exec ~certify:!certify n
         in
         Printf.eprintf
           "n=%-6d %-9s build %.4fs  sym %.4fs  nbr %.4fs  opt %.3fs  %9.0f \
@@ -290,15 +279,9 @@ let () =
   let family_name =
     match !family with None -> "syn" | Some f -> Scale.name f
   in
-  let mode_name =
-    match !mode with
-    | Neighbors.Auto -> "auto"
-    | Neighbors.Exact -> "exact"
-    | Neighbors.Select -> "select"
-  in
   let j =
     doc ~variant:!variant ~family:family_name ~seed:!seed ~kicks:!kicks
-      ~k:!k ~jobs:!jobs ~mode:mode_name
+      ~k:!k ~jobs:!jobs
       ~repr:(Ba_tsp.Tour_repr.kind_name !repr) entries
   in
   let failed =

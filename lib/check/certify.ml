@@ -3,12 +3,11 @@
     [certify] re-verifies a produced layout from first principles,
     deliberately sharing no code with the solver path in {!Ba_align}:
     it rebuilds the DTSP edge weights directly from
-    {!Ba_machine.Model.edge_cost} — materializing its own dense matrix
-    through the {!Ba_tsp.Dtsp.make} fallback rather than reusing
-    {!Ba_align.Reduction}'s sparse emission, so every certificate also
-    cross-checks the sparse cost core against an independently built
-    instance — and re-derives every property the paper's reduction
-    promises.  A certificate attests that:
+    {!Ba_machine.Model.edge_cost} with its own O(n + E) construction
+    rather than reusing {!Ba_align.Reduction}'s emission, so every
+    certificate also cross-checks the solver's instance against an
+    independently built one — and re-derives every property the paper's
+    reduction promises.  A certificate attests that:
 
     - the layout is a permutation of the procedure's blocks with the
       entry first (a Hamiltonian walk of the reduction's cities);
@@ -138,48 +137,13 @@ let recompute_cost (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc)
 
 (** Rebuild the reduction's DTSP instance directly from the cost model
     (cities 0..n−1 = blocks, city n = dummy; dummy → entry free, other
-    dummy edges prohibitive).  Mirrors the paper's construction without
-    calling into [Ba_align]. *)
+    dummy edges prohibitive), mirroring the paper's construction without
+    calling into [Ba_align].  Built sparsely in O(n + E): under both
+    objectives {!Ba_machine.Model.edge_cost} scores a layout successor
+    that is not a CFG successor exactly like falling off the end
+    ([succ = None]), so a block's row deviates from [block_cost i None]
+    only at its own distinct CFG successors (and the free diagonal). *)
 let dtsp_of (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
-    Dtsp.t * int =
-  let n = Cfg.n_blocks cfg in
-  let dummy = n in
-  let predicted = Profile.predictions profile ~n_blocks:n in
-  let block_cost i succ =
-    Model.edge_cost m (Cfg.block cfg i).Block.term ~succ
-      ~predicted:predicted.(i)
-      ~freqs:(Profile.block_freqs profile i)
-  in
-  let worst = ref 1 in
-  for i = 0 to n - 1 do
-    let w = ref (block_cost i None) in
-    for j = 0 to n - 1 do
-      if j <> i then w := max !w (block_cost i (Some j))
-    done;
-    worst := !worst + !w
-  done;
-  let forbid = !worst in
-  let cost =
-    Array.init (n + 1) (fun i ->
-        Array.init (n + 1) (fun j ->
-            if i = j then 0
-            else if i = dummy then if j = cfg.Cfg.entry then 0 else forbid
-            else if j = dummy then block_cost i None
-            else block_cost i (Some j)))
-  in
-  (Dtsp.make cost, dummy)
-
-(** Largest procedure still certified against the dense independently
-    built matrix; above it {!dtsp_of_sparse} takes over. *)
-let dense_instance_threshold = 512
-
-(** The same logical instance as {!dtsp_of}, built sparsely in O(n + E)
-    instead of O(n²).  Sound because {!Ba_machine.Model.edge_cost}
-    scores a layout successor that is not a CFG successor exactly like
-    falling off the end ([succ = None]) under both objectives, so a
-    block's row deviates from [block_cost i None] only at its own
-    distinct CFG successors (and the free diagonal). *)
-let dtsp_of_sparse (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
     Dtsp.t * int =
   let n = Cfg.n_blocks cfg in
   let dummy = n in
@@ -202,8 +166,8 @@ let dtsp_of_sparse (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
             List.filter (fun j -> j <> i)
               (Block.distinct_successors (Cfg.block cfg i)))
   in
-  (* the dense scan's worst-row sum: non-successor columns all equal the
-     row default, so the maximum needs only the explicit successors *)
+  (* the worst-row sum: non-successor columns all equal the row
+     default, so each row's maximum needs only the explicit successors *)
   let worst = ref 1 in
   for i = 0 to n - 1 do
     let w = ref defaults.(i) in
@@ -218,8 +182,8 @@ let dtsp_of_sparse (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc) :
     Array.init (n + 1) (fun i ->
         if i = dummy then [ (cfg.Cfg.entry, 0); (dummy, 0) ]
         else
-          (* diagonal is 0 in the dense build; the dummy column equals
-             the row default and is dropped by [of_rows] *)
+          (* the diagonal is free; the dummy column equals the row
+             default and is dropped by [of_rows] *)
           List.sort compare
             ((i, 0)
             :: List.map (fun j -> (j, block_cost i (Some j))) succs.(i)))
@@ -262,7 +226,7 @@ let check_sym (sym : Sym.t) (stour : int array) : (int array, error) result =
 (** Certify one procedure's layout.  [claimed] is the solver-reported
     cost to cross-check; [hk] selects the lower-bound source;
     [sym_check] (default on) exercises the DTSP → STSP round-trip,
-    which costs an O(n²) matrix build. *)
+    O(n + E) on the sparse independent instance. *)
 let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
     (m : Model.t) (cfg : Cfg.t) ~(profile : Profile.proc)
     ~(order : Layout.order) : (proc_cert, error) result =
@@ -296,17 +260,7 @@ let proc_cert ?claimed ?(hk = Skip) ?(sym_check = true) ~proc
             | Some c when c <> cost ->
                 fail (Cost_mismatch { claimed = c; recomputed = cost })
             | _ -> (
-                (* small procedures keep the dense independent build
-                   (its own cross-check of the sparse core); at
-                   whole-program scale the O(n²) matrix is unpayable
-                   and the sparse construction of the same logical
-                   instance takes over *)
-                let dtsp =
-                  lazy
-                    (if n <= dense_instance_threshold then
-                       dtsp_of m cfg ~profile
-                     else dtsp_of_sparse m cfg ~profile)
-                in
+                let dtsp = lazy (dtsp_of m cfg ~profile) in
                 let sym_result =
                   if not sym_check then Ok false
                   else begin

@@ -53,23 +53,12 @@ val recompute_cost :
   int
 
 (** Rebuild the reduction's DTSP instance (with its dummy city index)
-    directly from {!Ba_machine.Cost.edge_cost}. *)
+    directly from {!Ba_machine.Model.edge_cost}, in O(n + E): a
+    non-successor layout successor costs exactly like [None] under every
+    objective, so rows deviate from that default only at the CFG
+    successors.  Equivalence with a dense O(n²) build is asserted in the
+    tests. *)
 val dtsp_of :
-  Ba_machine.Model.t ->
-  Cfg.t ->
-  profile:Ba_profile.Profile.proc ->
-  Ba_tsp.Dtsp.t * int
-
-(** Largest procedure certified against the dense independently built
-    matrix; above it the certifier switches to {!dtsp_of_sparse}. *)
-val dense_instance_threshold : int
-
-(** The same logical instance as {!dtsp_of}, built sparsely in O(n + E):
-    a non-successor layout successor costs exactly like [None] under
-    every objective, so rows deviate from that default only at the CFG
-    successors.  Certifies 10⁵-block procedures without an O(n²)
-    matrix; equivalence with {!dtsp_of} is asserted in the tests. *)
-val dtsp_of_sparse :
   Ba_machine.Model.t ->
   Cfg.t ->
   profile:Ba_profile.Profile.proc ->
@@ -83,7 +72,7 @@ val check_sym : Ba_tsp.Sym.t -> int array -> (int array, error) result
 
 (** Certify one procedure's layout.  [claimed] cross-checks the
     solver-reported cost; [sym_check] (default on) exercises the
-    DTSP → STSP round-trip (O(n²) matrix build). *)
+    DTSP → STSP round-trip (O(n + E) on the sparse instance). *)
 val proc_cert :
   ?claimed:int ->
   ?hk:hk_mode ->

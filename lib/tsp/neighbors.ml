@@ -8,26 +8,18 @@
     The candidate set is known from the symmetrization structure alone —
     an out-city's partners are exactly the other cities' in-cities and
     vice versa — so the lists are built from the sparse directed
-    instance without scanning a materialized 2n×2n matrix.  Two
-    selection algorithms coexist (docs/PERFORMANCE.md):
+    instance without scanning a materialized 2n×2n matrix: each city's
+    sorted explicit deviations are merged with its default-cost tail,
+    emitting the k cheapest partners in O(k + deg) per city once the
+    shared streams are built (docs/PERFORMANCE.md).
 
-    - [Exact] reproduces the historical dense scan bit-for-bit,
-      including its heapsort tie order, with one O(n) scratch row and an
-      O(n log n) full sort per city — O(n² log n) total.  It is the
-      identity anchor for every committed small-instance trajectory.
-    - [Select] merges each city's sorted explicit deviations with its
-      default-cost tail directly, emitting the k cheapest partners under
-      the canonical order (cost, partner id) — O(n log n + n·k + E)
-      total, independent of n per row once the shared streams are
-      built.  The result is the {e unique} canonical k-NN list, so it is
-      checkable against any correct oracle, but its tie order differs
-      from the dense scan's.
-
-    [Auto] (the default) keeps [Exact] for instances up to
-    {!exact_threshold} directed cities — every committed golden
-    trajectory lives far below it — and switches to [Select] above,
-    where bit-identity with the dense era is explicitly relaxed
-    (results/solver_bench.json carries the re-baselined trajectory).
+    Ties break by distance in compiler block order along the edge, so
+    among equally cheap candidates the blocks the compiler placed next
+    to each other come first: an out-city of block i ranks the in-city
+    of j by (cost, (j − i) mod n), an in-city of j ranks the out-city of
+    r by (cost, (j − r) mod n).  The key is a strict total order on each
+    city's partners, so every list is the {e unique} k-cheapest prefix
+    and checkable against any correct oracle.
 
     Row construction is embarrassingly parallel: [exec] fans the cities
     out over contiguous chunks on the engine's domain pool and merges
@@ -35,12 +27,6 @@
     count. *)
 
 module Executor = Ba_engine.Executor
-
-type mode = Auto | Exact | Select
-
-(** Largest directed-instance size (cities, dummy included) the [Auto]
-    mode still serves with the bit-exact dense tie order. *)
-let exact_threshold = 512
 
 (* deterministic chunked fan-out: compute [lo, hi) slices of the result
    on the executor, merge in index order — bit-identical at any job
@@ -59,209 +45,177 @@ let chunked exec nn compute =
       in
       Array.concat (Array.to_list slices)
 
-(* ------------------------------------------------------------------ *)
-(* Exact: the dense scan's algorithm (and tie order) on sparse rows     *)
-
-let exact (s : Sym.t) ~k ~exec =
-  let d = s.Sym.dir in
-  let n = s.Sym.n_cities in
-  let nn = s.Sym.nn in
-  (* partner count is n−1; a k beyond it (or below 0) clamps, so both
-     the uniform shortcut and the sort path return the same short list *)
-  let k = max 0 (min k (n - 1)) in
-  (* transpose of the explicit entries, for O(deg) column fills *)
-  let tcols = Array.make n [] in
-  for i = n - 1 downto 0 do
-    Array.iteri
-      (fun kk c -> tcols.(c) <- (i, d.Dtsp.row_costs.(i).(kk)) :: tcols.(c))
-      d.Dtsp.row_cols.(i)
-  done;
-  (* [Array.sort]'s heapsort consults nothing but comparator results, so
-     on a row whose candidates all share one cost (every comparison
-     returns 0) it applies a permutation that depends only on the array
-     length.  Compute that permutation once and read uniform rows'
-     lists off it in O(k) instead of sorting each. *)
-  let tmpl = Array.init (n - 1) Fun.id in
-  Array.sort (fun _ _ -> 0) tmpl;
-  (* an in-city's candidate costs are the OTHER rows' defaults, so an
-     explicit-free column is only uniform when all defaults agree *)
-  let shared_default =
-    Array.for_all (fun v -> v = d.Dtsp.row_default.(0)) d.Dtsp.row_default
-  in
-  let compute lo hi =
-    let row = Array.make n 0 in
-    Array.init (hi - lo) (fun off ->
-        let a = lo + off in
-        let i = a asr 1 in
-        let uniform =
-          if a land 1 = 1 then
-            (* out-city: partners are in-cities, costs = directed row i *)
-            match d.Dtsp.row_cols.(i) with
-            | [||] -> true
-            | [| c |] when c = i -> true
-            | _ ->
-                Dtsp.blit_row d i row;
-                false
-          else begin
-            (* in-city: partners are out-cities, costs = directed column i *)
-            match tcols.(i) with
-            | [] when shared_default -> true
-            | [ (r, _) ] when shared_default && r = i -> true
-            | deviations ->
-                Array.blit d.Dtsp.row_default 0 row 0 n;
-                List.iter (fun (r, v) -> row.(r) <- v) deviations;
-                false
-          end
-        in
-        (* partners in descending city order — the order the dense 0..nn-1
-           prepend scan produced — so sort tie-breaking is unchanged *)
-        let arr = Array.make (n - 1) 0 in
-        let idx = ref 0 in
-        let tag = 1 - (a land 1) in
-        for c = n - 1 downto 0 do
-          if c <> i then begin
-            arr.(!idx) <- (2 * c) + tag;
-            incr idx
-          end
-        done;
-        if uniform then Array.init k (fun p -> arr.(tmpl.(p)))
-        else begin
-          Array.sort (fun x y -> compare row.(x asr 1) row.(y asr 1)) arr;
-          if Array.length arr <= k then arr else Array.sub arr 0 k
-        end)
-  in
-  chunked exec nn compute
-
-(* ------------------------------------------------------------------ *)
-(* Select: canonical k-cheapest by merging sorted deviation streams     *)
-(* with the default-cost tail — O(k + deg) per city after shared        *)
-(* O(n log n + E log deg) stream preparation                            *)
-
-let select (s : Sym.t) ~k ~exec =
+(* canonical k-cheapest by merging sorted deviation streams with the
+   default-cost tail — O(k + deg) per city after shared
+   O(n log n + E log deg) stream preparation *)
+let of_sym ?(exec = Executor.Seq) (s : Sym.t) ~k =
   let d = s.Sym.dir in
   let n = s.Sym.n_cities in
   let nn = s.Sym.nn in
   let k = max 0 (min k (n - 1)) in
   if k = 0 then Array.make nn [||]
   else begin
-    (* out-city streams: per row, the explicit off-diagonal (cost, col)
-       deviations sorted by (cost, col) *)
+    (* (b − a) mod n, and x mod n for x in [0, 2n), without division *)
+    let dist a b = if b >= a then b - a else b - a + n in
+    let wrap x = if x >= n then x - n else x in
+    (* lexicographic order on (cost, key) pairs, without polymorphic
+       compare *)
+    let by_pair (c, t) (c', t') =
+      if c <> c' then Int.compare c c' else Int.compare t t'
+    in
+    (* out-city streams: per row i, the explicit off-diagonal
+       deviations as (cost, (col − i) mod n), sorted *)
     let out_dev =
       Array.init n (fun i ->
           let cols = d.Dtsp.row_cols.(i) and costs = d.Dtsp.row_costs.(i) in
           let keep = ref [] in
           for kk = Array.length cols - 1 downto 0 do
-            if cols.(kk) <> i then keep := (costs.(kk), cols.(kk)) :: !keep
+            if cols.(kk) <> i then
+              keep := (costs.(kk), dist i cols.(kk)) :: !keep
           done;
           let a = Array.of_list !keep in
-          Array.sort compare a;
+          Array.sort by_pair a;
           a)
     in
-    (* in-city streams: per column, the explicit off-diagonal (cost, row)
-       entries sorted by (cost, row) *)
+    (* in-city streams: per column j, the explicit off-diagonal entries
+       of rows r as (cost, (j − r) mod n), sorted *)
     let tmp = Array.make n [] in
     for i = n - 1 downto 0 do
       Array.iteri
         (fun kk c ->
           if c <> i then
-            tmp.(c) <- (d.Dtsp.row_costs.(i).(kk), i) :: tmp.(c))
+            tmp.(c) <- (d.Dtsp.row_costs.(i).(kk), dist i c) :: tmp.(c))
         d.Dtsp.row_cols.(i)
     done;
     let in_dev =
       Array.init n (fun c ->
           let a = Array.of_list tmp.(c) in
-          Array.sort compare a;
+          Array.sort by_pair a;
           a)
     in
     (* an in-city's default tail is the other rows' defaults: pre-sort
-       the rows once by (default, row) — ascending row is ascending
-       partner id, so this IS the canonical tail order *)
+       the rows once by (default, row); each equal-default group is then
+       walked downward from the largest row below the column, wrapping,
+       which is ascending (j − r) mod n within the group *)
     let ord = Array.init n Fun.id in
+    let defaults = d.Dtsp.row_default in
     Array.sort
       (fun r r' ->
-        compare (d.Dtsp.row_default.(r), r) (d.Dtsp.row_default.(r'), r'))
+        if defaults.(r) <> defaults.(r') then
+          Int.compare defaults.(r) defaults.(r')
+        else Int.compare r r')
       ord;
+    (* group_end.(p) = one past the last index of p's equal-default run *)
+    let group_end = Array.make n n in
+    for p = n - 2 downto 0 do
+      group_end.(p) <-
+        (if defaults.(ord.(p)) = defaults.(ord.(p + 1))
+         then group_end.(p + 1)
+         else p + 1)
+    done;
+    (* number of rows below [j] in the ascending slice ord.(lo..hi−1) *)
+    let count_below lo hi j =
+      let lo = ref lo and hi = ref hi in
+      let base = !lo in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ord.(mid) < j then lo := mid + 1 else hi := mid
+      done;
+      !lo - base
+    in
     let compute lo hi =
       (* per-chunk scratch: marks are stamped with the city id, so the
          array never needs clearing between cities *)
       let mark = Array.make n (-1) in
       Array.init (hi - lo) (fun off ->
           let a = lo + off in
-          let i = a asr 1 in
+          let stamp = a in
           let res = Array.make k 0 in
           if a land 1 = 1 then begin
-            (* out-city: row i; tail = implicit columns, ascending *)
+            (* out-city of row i; tail = implicit columns i+1, i+2, …
+               with wrap: distance t, column c = (i + t) mod n *)
+            let i = a asr 1 in
             let dev = out_dev.(i) in
-            let cols = d.Dtsp.row_cols.(i) in
-            let ncols = Array.length cols in
-            let default = d.Dtsp.row_default.(i) in
             let nd = Array.length dev in
-            let ei = ref 0 and ci = ref 0 and pi = ref 0 in
+            let default = defaults.(i) in
+            Array.iter (fun (_, t) -> mark.(wrap (i + t)) <- stamp) dev;
+            let ei = ref 0 and t = ref 1 and c = ref (wrap (i + 1)) in
+            let step () =
+              incr t;
+              c := wrap (!c + 1)
+            in
             let advance () =
-              let stop = ref false in
-              while not !stop do
-                if !ci >= n then stop := true
-                else if !ci = i then incr ci
-                else begin
-                  while !pi < ncols && cols.(!pi) < !ci do
-                    incr pi
-                  done;
-                  if !pi < ncols && cols.(!pi) = !ci then incr ci
-                  else stop := true
-                end
+              while !t < n && mark.(!c) = stamp do
+                step ()
               done
             in
             advance ();
             for f = 0 to k - 1 do
               let explicit =
                 !ei < nd
-                && (!ci >= n
+                && (!t >= n
                    ||
-                   let c, col = dev.(!ei) in
-                   c < default || (c = default && col < !ci))
+                   let cost, te = dev.(!ei) in
+                   cost < default || (cost = default && te < !t))
               in
               if explicit then begin
-                res.(f) <- 2 * snd dev.(!ei);
+                res.(f) <- 2 * wrap (i + snd dev.(!ei));
                 incr ei
               end
               else begin
-                res.(f) <- 2 * !ci;
-                incr ci;
+                res.(f) <- 2 * !c;
+                step ();
                 advance ()
               end
             done
           end
           else begin
-            (* in-city: column i; tail = other rows in [ord] order *)
-            let dev = in_dev.(i) in
+            (* in-city of column j; tail = other rows' defaults, group
+               by group in [ord] order *)
+            let j = a asr 1 in
+            let dev = in_dev.(j) in
             let nd = Array.length dev in
-            let stamp = a in
-            Array.iter (fun (_, r) -> mark.(r) <- stamp) dev;
-            mark.(i) <- stamp;
-            let ei = ref 0 and oi = ref 0 in
+            Array.iter (fun (_, t) -> mark.(dist t j) <- stamp) dev;
+            mark.(j) <- stamp;
+            (* tail cursor: group ord.(g..g_end−1), walk position [p],
+               [left] rows of the group not yet visited; [cur] the head
+               row or −1 *)
+            let g = ref 0 and g_end = ref 0 and p = ref 0 and left = ref 0
+            and cur = ref (-1) and ei = ref 0 in
+            let enter q =
+              let e = group_end.(q) in
+              let below = count_below q e j in
+              g := q;
+              g_end := e;
+              p := (if below > 0 then q + below - 1 else e - 1);
+              left := e - q
+            in
             let advance () =
-              while !oi < n && mark.(ord.(!oi)) = stamp do
-                incr oi
+              cur := -1;
+              while !cur < 0 && (!left > 0 || !g_end < n) do
+                if !left = 0 then enter !g_end;
+                let r = ord.(!p) in
+                p := (if !p = !g then !g_end - 1 else !p - 1);
+                decr left;
+                if mark.(r) <> stamp then cur := r
               done
             in
             advance ();
             for f = 0 to k - 1 do
               let explicit =
                 !ei < nd
-                && (!oi >= n
+                && (!cur < 0
                    ||
-                   let c, r = dev.(!ei) in
-                   let r' = ord.(!oi) in
-                   let c' = d.Dtsp.row_default.(r') in
-                   c < c' || (c = c' && r < r'))
+                   let cost, te = dev.(!ei) in
+                   let cost' = defaults.(!cur) in
+                   cost < cost' || (cost = cost' && te < dist !cur j))
               in
               if explicit then begin
-                res.(f) <- (2 * snd dev.(!ei)) + 1;
+                res.(f) <- (2 * dist (snd dev.(!ei)) j) + 1;
                 incr ei
               end
               else begin
-                res.(f) <- (2 * ord.(!oi)) + 1;
-                incr oi;
+                res.(f) <- (2 * !cur) + 1;
                 advance ()
               end
             done
@@ -270,20 +224,3 @@ let select (s : Sym.t) ~k ~exec =
     in
     chunked exec nn compute
   end
-
-(* ------------------------------------------------------------------ *)
-
-(** [of_sym s ~k] builds, for every symmetric city, its up-to-[k]
-    cheapest candidate partners (finite cost, not the locked partner).
-    [mode] picks the selection algorithm ([Auto]: [Exact] up to
-    {!exact_threshold} directed cities, [Select] above); [exec]
-    parallelizes row construction (default sequential) — the result
-    never depends on the job count. *)
-let of_sym ?(mode = Auto) ?(exec = Executor.Seq) (s : Sym.t) ~k =
-  let use_select =
-    match mode with
-    | Exact -> false
-    | Select -> true
-    | Auto -> s.Sym.n_cities > exact_threshold
-  in
-  if use_select then select s ~k ~exec else exact s ~k ~exec

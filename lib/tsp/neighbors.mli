@@ -1,29 +1,18 @@
 (** k-nearest-neighbor candidate lists (finite, non-locked partners
-    only), sorted by increasing cost so searches can stop early. *)
+    only), sorted by increasing cost so searches can stop early.
 
-(** Selection algorithm.  [Exact] reproduces the historical dense
-    scan's exact tie order (full per-city sort, O(n² log n) — the
-    identity anchor for small-instance trajectories); [Select] is the
-    partial heap-select merge over the sparse CSR rows, returning the
-    unique k-cheapest list under the canonical order (cost, partner id)
-    in O(n log n + n·k + E); [Auto] (default) gates on
-    {!exact_threshold}. *)
-type mode = Auto | Exact | Select
-
-(** Largest directed-instance size (cities, dummy included) that [Auto]
-    still serves with the bit-exact dense tie order.  Every committed
-    golden trajectory lives far below this. *)
-val exact_threshold : int
+    Each list is the unique k-cheapest prefix under the canonical order
+    (cost, distance in compiler block order along the edge): an
+    out-city of block i ranks the in-city of j by (cost, (j − i) mod n),
+    an in-city of j ranks the out-city of r by (cost, (j − r) mod n),
+    where n is the number of directed cities.  Built by a partial
+    heap-select merge over the sparse CSR rows in O(n log n + n·k + E);
+    the order depends only on the logical costs, never on how the
+    instance is encoded. *)
 
 (** [of_sym s ~k] builds, for every symmetric city, its up-to-[k]
     cheapest candidate partners (finite cost, not the locked partner).
-    [k] is clamped to [0..n−1], so both algorithms return the same short
-    list when [k] exceeds the partner count.  [exec] fans row
-    construction out over the engine's domain pool (chunked, merged in
-    index order) — the result is bit-identical at any job count. *)
-val of_sym :
-  ?mode:mode ->
-  ?exec:Ba_engine.Executor.t ->
-  Sym.t ->
-  k:int ->
-  int array array
+    [k] is clamped to [0..n−1].  [exec] fans row construction out over
+    the engine's domain pool (chunked, merged in index order) — the
+    result is bit-identical at any job count. *)
+val of_sym : ?exec:Ba_engine.Executor.t -> Sym.t -> k:int -> int array array

@@ -1,90 +1,39 @@
 (* Differential suite for the sparse cost core: the CSR representation
    ({!Ba_tsp.Dtsp}), the implicit symmetrization ({!Ba_tsp.Sym}) and the
    sparse candidate-list construction ({!Ba_tsp.Neighbors}) must be
-   observationally identical to the dense implementations they replaced
-   — same cost oracle on every pair, same neighbor lists (including tie
-   order), same solver trajectory — on random matrices, random
-   CFG-derived instances and the real workload instances. *)
+   observationally identical to the dense references in
+   {!Ba_testutil.Dense} — same cost oracle on every pair, the canonical
+   neighbor lists, the same solver trajectory on every encoding of one
+   matrix — on random matrices, random CFG-derived instances and the
+   real workload instances. *)
 
 open Ba_tsp
 open Ba_cfg
 module Profile = Ba_profile.Profile
 module Cost = Ba_machine.Cost
 module Reduction = Ba_align.Reduction
+module Dense = Ba_testutil.Dense
 
 let penalties = Ba_machine.Model.alpha21164
 let gen_seed = QCheck2.Gen.int_bound 1_000_000
 
 (* ---------------- dense references ---------------- *)
 
-(* the legacy dense reduction: O(n²) edge_cost calls into an (n+1)²
-   matrix, exactly as lib/align/reduction.ml used to build it *)
-let dense_reduction p (cfg : Cfg.t) ~(profile : Profile.proc) =
-  let n = Cfg.n_blocks cfg in
-  let dummy = n in
-  let predicted = Profile.predictions profile ~n_blocks:n in
-  let block_cost i succ =
-    Ba_machine.Model.edge_cost p (Cfg.block cfg i).Block.term ~succ
-      ~predicted:predicted.(i)
-      ~freqs:(Profile.block_freqs profile i)
-  in
-  let worst = ref 1 in
-  for i = 0 to n - 1 do
-    let w = ref (block_cost i None) in
-    for j = 0 to n - 1 do
-      if j <> i then w := max !w (block_cost i (Some j))
-    done;
-    worst := !worst + !w
-  done;
-  let forbid = !worst in
-  let cost =
-    Array.init (n + 1) (fun i ->
-        Array.init (n + 1) (fun j ->
-            if i = j then 0
-            else if i = dummy then if j = cfg.Cfg.entry then 0 else forbid
-            else if j = dummy then block_cost i None
-            else block_cost i (Some j)))
-  in
-  (cost, forbid)
-
-(* the legacy dense symmetrization matrix *)
-let dense_sym (d : Dtsp.t) =
+(* a third encoding of the same logical matrix: each row's default is
+   its off-diagonal minimum, so nearly every column becomes explicit *)
+let row_min_encoding (d : Dtsp.t) =
   let n = d.Dtsp.n in
-  let cmax = Dtsp.max_cost d in
-  let m = (2 * cmax) + 2 in
-  let inf = 8 * (cmax + m + 1) in
-  let nn = 2 * n in
-  let cost = Array.make_matrix nn nn inf in
-  for i = 0 to n - 1 do
-    cost.(2 * i).((2 * i) + 1) <- -m;
-    cost.((2 * i) + 1).(2 * i) <- -m;
-    for j = 0 to n - 1 do
-      if i <> j then begin
-        cost.((2 * i) + 1).(2 * j) <- Dtsp.cost d i j;
-        cost.(2 * j).((2 * i) + 1) <- Dtsp.cost d i j
-      end
-    done
-  done;
-  cost
-
-(* the legacy dense neighbor-list construction, byte for byte: ascending
-   prepend scan, Array.sort on matrix lookups, truncate to k *)
-let dense_neighbors (s : Sym.t) sym_matrix ~k =
-  let nn = s.Sym.nn in
-  Array.init nn (fun a ->
-      let cand = ref [] in
-      for b = 0 to nn - 1 do
-        if
-          b <> a
-          && (not (Sym.is_locked s a b))
-          && sym_matrix.(a).(b) < s.Sym.inf
-        then cand := b :: !cand
-      done;
-      let arr = Array.of_list !cand in
-      Array.sort
-        (fun x y -> compare sym_matrix.(a).(x) sym_matrix.(a).(y))
-        arr;
-      if Array.length arr <= k then arr else Array.sub arr 0 k)
+  let row = Array.make n 0 in
+  let default = Array.make n 0 in
+  let rows =
+    Array.init n (fun i ->
+        Dtsp.blit_row d i row;
+        let mn = ref max_int in
+        Array.iteri (fun j c -> if j <> i && c < !mn then mn := c) row;
+        default.(i) <- !mn;
+        List.init n (fun j -> (j, row.(j))))
+  in
+  Dtsp.of_rows ~n ~default rows
 
 let max_offdiag m =
   let n = Array.length m in
@@ -151,7 +100,7 @@ let prop_reduction_oracle =
     (fun seed ->
       let g, prof = random_cfg_profile seed in
       let inst = Reduction.build penalties g ~profile:prof in
-      let dense, forbid = dense_reduction penalties g ~profile:prof in
+      let dense, forbid = Dense.reduction penalties g ~profile:prof in
       if inst.Reduction.forbid <> forbid then
         QCheck2.Test.fail_reportf "forbid %d, want %d" inst.Reduction.forbid
           forbid;
@@ -162,7 +111,7 @@ let prop_sym_oracle =
     ~name:"implicit Sym.cost = dense symmetric matrix" gen_seed (fun seed ->
       let d = Dtsp.make (random_matrix seed) in
       let s = Sym.of_dtsp d in
-      let dense = dense_sym d in
+      let dense = Dense.sym d in
       let nn = s.Sym.nn in
       for a = 0 to nn - 1 do
         for b = 0 to nn - 1 do
@@ -176,11 +125,15 @@ let prop_sym_oracle =
 
 let check_neighbors ~what (d : Dtsp.t) =
   let s = Sym.of_dtsp d in
-  let dense = dense_sym d in
+  let dense = Dense.sym d in
   List.for_all
     (fun k ->
       let got = Neighbors.of_sym s ~k in
-      let want = dense_neighbors s dense ~k in
+      let want =
+        Dense.neighbors ~nn:s.Sym.nn ~inf:s.Sym.inf
+          (fun a b -> dense.(a).(b))
+          ~k
+      in
       Array.iteri
         (fun a w ->
           if got.(a) <> w then
@@ -215,11 +168,18 @@ let prop_solve_identical =
     gen_seed (fun seed ->
       let g, prof = random_cfg_profile seed in
       let inst = Reduction.build penalties g ~profile:prof in
-      let dense, _ = dense_reduction penalties g ~profile:prof in
+      let dense, _ = Dense.reduction penalties g ~profile:prof in
       let t1, s1 = Iterated.solve inst.Reduction.dtsp in
-      let t2, s2 = Iterated.solve (Dtsp.make dense) in
-      if t1 <> t2 then QCheck2.Test.fail_reportf "tours differ";
-      if s1 <> s2 then QCheck2.Test.fail_reportf "solver stats differ";
+      List.iter
+        (fun (what, d) ->
+          let t2, s2 = Iterated.solve d in
+          if t1 <> t2 then QCheck2.Test.fail_reportf "%s: tours differ" what;
+          if s1 <> s2 then
+            QCheck2.Test.fail_reportf "%s: solver stats differ" what)
+        [
+          ("dense", Dtsp.make dense);
+          ("row-min", row_min_encoding inst.Reduction.dtsp);
+        ];
       true)
 
 (* ---------------- workload instances ---------------- *)
@@ -236,7 +196,7 @@ let test_workload_instances () =
   List.iteri
     (fun idx { Ba_harness.Synthetic.name; g; prof } ->
       let inst = Reduction.build penalties g ~profile:prof in
-      let dense, forbid = dense_reduction penalties g ~profile:prof in
+      let dense, forbid = Dense.reduction penalties g ~profile:prof in
       Alcotest.(check int) (name ^ ": forbid") forbid inst.Reduction.forbid;
       Alcotest.(check bool)
         (name ^ ": oracle")

@@ -432,12 +432,12 @@ let test_scale_certify_smoke () =
     Scale.all
 
 let test_certify_sparse_instance_equivalence () =
-  (* the sparse certifier instance must be the same logical matrix as
-     the dense independent build, on scale instances and random CFGs *)
+  (* the certifier's sparse instance must be the same logical matrix as
+     the dense O(n²) oracle, on scale instances and random CFGs *)
   let model = Ba_machine.Model.alpha21164 in
   let check what g p =
-    let dd, dummy_d = Ba_check.Certify.dtsp_of model g ~profile:p in
-    let ds, dummy_s = Ba_check.Certify.dtsp_of_sparse model g ~profile:p in
+    let dd, dummy_d = Ba_testutil.Dense.dtsp_of model g ~profile:p in
+    let ds, dummy_s = Ba_check.Certify.dtsp_of model g ~profile:p in
     Alcotest.(check int) (what ^ ": dummy") dummy_d dummy_s;
     let n = dd.Ba_tsp.Dtsp.n in
     Alcotest.(check int) (what ^ ": n") n ds.Ba_tsp.Dtsp.n;
