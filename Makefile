@@ -195,12 +195,12 @@ bench-solver: build
 	$(DUNE) exec --no-print-directory test/tools/check_trace.exe -- \
 	  --solver-bench SOLVER_BENCH_TWOLEVEL.json
 	@# hard gate: the two representations must walk the same trajectory
-	@jq '.entries | map({n_blocks, moves, scans_skipped, best_cost, tour_hash})' \
-	  SOLVER_BENCH.json > /tmp/sb_traj_array.json
-	@jq '.entries | map({n_blocks, moves, scans_skipped, best_cost, tour_hash})' \
-	  SOLVER_BENCH_TWOLEVEL.json > /tmp/sb_traj_twolevel.json
-	@diff -u /tmp/sb_traj_array.json /tmp/sb_traj_twolevel.json \
-	  && echo "bench-solver ok: array and two-level trajectories identical"
+	@tmp=$$(mktemp -d); trap 'rm -rf '"$$tmp" EXIT; set -e; \
+	traj='.entries | map({n_blocks, moves, scans_skipped, best_cost, tour_hash})'; \
+	jq "$$traj" SOLVER_BENCH.json > $$tmp/traj_array.json; \
+	jq "$$traj" SOLVER_BENCH_TWOLEVEL.json > $$tmp/traj_twolevel.json; \
+	diff -u $$tmp/traj_array.json $$tmp/traj_twolevel.json; \
+	echo "bench-solver ok: array and two-level trajectories identical"
 	$(DUNE) exec --no-print-directory bench/solver_bench.exe -- \
 	  --family switch --sizes 100000 --kicks 8 --certify \
 	  --variant scale-switch --json SOLVER_BENCH_SCALE.json

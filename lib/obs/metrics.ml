@@ -17,6 +17,7 @@
     - engine: tasks executed;
     - validation: lint diagnostics by severity, alignment certificates
       checked and failed (the ba_check layer);
+    - bounding: Held–Karp subgradient iterations;
     and two gauges (candidate-list width, job count) plus the
     gap-to-Held–Karp distribution observed per procedure. *)
 
@@ -51,6 +52,7 @@ type counter =
   | Segment_rebalances  (** two-level O(n) rebuilds *)
   | Kicks_accepted  (** double-bridge kicks that improved their run *)
   | Undo_ops  (** tour ops replayed to undo rejected kicks *)
+  | Hk_iterations  (** Held–Karp subgradient iterations (1-trees built) *)
 
 let all_counters =
   [
@@ -84,6 +86,7 @@ let all_counters =
     (Segment_rebalances, "solver.segment_rebalances");
     (Kicks_accepted, "solver.kicks_accepted");
     (Undo_ops, "solver.undo_ops");
+    (Hk_iterations, "hk.iterations");
   ]
 
 let counter_name c = List.assoc c all_counters
@@ -119,6 +122,7 @@ let counter_index = function
   | Segment_rebalances -> 27
   | Kicks_accepted -> 28
   | Undo_ops -> 29
+  | Hk_iterations -> 30
 
 let n_counters = List.length all_counters
 let counters : int Atomic.t array = Array.init n_counters (fun _ -> Atomic.make 0)

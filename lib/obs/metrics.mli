@@ -34,6 +34,7 @@ type counter =
   | Segment_rebalances
   | Kicks_accepted
   | Undo_ops
+  | Hk_iterations
 
 (** Every counter with its stable snapshot name, in catalogue order. *)
 val all_counters : (counter * string) list

@@ -10,17 +10,21 @@ type config = {
 
 val default : config
 
-(** Minimum 1-tree under π-modified weights: MST over cities 1..n−1 plus
-    the two cheapest edges at city 0; the cost matrix is flat row-major
-    n×n.  Returns (modified weight, degrees). *)
-val one_tree : n:int -> int array -> float array -> float * int array
+(** The 1-tree kernel of one symmetrized instance: its (out i, in j)
+    pairs as a float matrix plus Prim scratch, built once per bound. *)
+type kernel
 
-(** Held–Karp bound for a symmetric instance given as a flat row-major
-    n×n matrix, as a float.  [upper_bound] is any known tour cost
-    (scales the steps; reaching it certifies optimality and stops
-    early).  @raise Invalid_argument if [n < 2] or the size is wrong. *)
-val bound : ?config:config -> n:int -> int array -> upper_bound:int -> float
+val kernel : Sym.t -> kernel
+
+(** Minimum 1-tree under π-modified weights over the 2n symmetric
+    cities: MST over cities 1..2n−1 plus the two cheapest edges at city
+    0, relaxing only cross-parity pairs.  Returns (modified weight,
+    degrees); the degree array is reused by the next call. *)
+val one_tree : kernel -> float array -> float * int array
 
 (** Integer Held–Karp lower bound on the optimal directed tour: bound of
-    the symmetrized instance, shifted back and rounded up. *)
+    the symmetrized instance, shifted back and rounded up.  [upper_bound]
+    is any known directed tour cost (scales the steps); the ascent stops
+    once the rounded bound reaches it.
+    @raise Invalid_argument if the instance has no city. *)
 val directed_bound : ?config:config -> Dtsp.t -> upper_bound:int -> int

@@ -90,27 +90,6 @@ let cost (s : t) a b =
 (** [is_locked s a b] is true iff (a,b) is an in/out pair edge. *)
 let is_locked _s a b = a lxor b = 1
 
-(** Dense row-major copy ([a*nn + b]) of the symmetric matrix for the
-    genuinely dense kernels (Held–Karp bounding). *)
-let to_flat (s : t) =
-  let nn = s.nn and n = s.n_cities in
-  let flat = Array.make (nn * nn) s.inf in
-  let row = Array.make n 0 in
-  for i = 0 to n - 1 do
-    (* row of out-city 2i+1: directed row i at the in-cities *)
-    Dtsp.blit_row s.dir i row;
-    let base = ((2 * i) + 1) * nn in
-    for j = 0 to n - 1 do
-      if j <> i then begin
-        flat.(base + (2 * j)) <- row.(j);
-        flat.(((2 * j) * nn) + (2 * i) + 1) <- row.(j)
-      end
-    done;
-    flat.(((2 * i) * nn) + (2 * i) + 1) <- -s.m;
-    flat.(base + (2 * i)) <- -s.m
-  done;
-  flat
-
 (** [expand s dtour] turns a directed tour into the corresponding
     symmetric tour [in t0; out t0; in t1; out t1; …]. *)
 let expand (s : t) (dtour : int array) =

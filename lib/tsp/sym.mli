@@ -33,9 +33,6 @@ val cost : t -> int -> int -> int
 (** Is (a, b) an in/out pair edge? *)
 val is_locked : t -> int -> int -> bool
 
-(** Dense row-major copy ([a*nn + b]) for dense kernels (Held–Karp). *)
-val to_flat : t -> int array
-
 (** Directed tour → symmetric tour [in t0; out t0; in t1; …]. *)
 val expand : t -> int array -> int array
 

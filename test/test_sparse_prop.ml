@@ -182,6 +182,72 @@ let prop_solve_identical =
         ];
       true)
 
+(* ---------------- Held–Karp ---------------- *)
+
+(* a random DTSP: a clustered random matrix or a random CFG's reduction *)
+let random_dtsp seed =
+  if seed mod 2 = 0 then Dtsp.make (random_matrix seed)
+  else
+    let g, prof = random_cfg_profile seed in
+    (Reduction.build penalties g ~profile:prof).Reduction.dtsp
+
+(* potentials: all zero (every equal cost ties), or a random mix of
+   integral values (ties survive) and fractional ones, both within
+   ±(max_cost + 1) so that no forbidden pair can undercut a cross pair *)
+let random_pis seed (d : Dtsp.t) =
+  let rng = Random.State.make [| seed; 7 |] in
+  let nn = 2 * d.Dtsp.n and r = Dtsp.max_cost d + 1 in
+  let draw () =
+    let x = Random.State.int rng ((2 * r) + 1) - r in
+    if Random.State.bool rng then float_of_int x
+    else float_of_int x +. Random.State.float rng 1.0
+  in
+  Array.make nn 0.0 :: List.init 4 (fun _ -> Array.init nn (fun _ -> draw ()))
+
+let prop_hk_kernel_oracle =
+  QCheck2.Test.make ~count:200
+    ~name:"1-tree kernel = dense 1-tree (weight bits and degrees)" gen_seed
+    (fun seed ->
+      let d = random_dtsp seed in
+      let k = Held_karp.kernel (Sym.of_dtsp d) in
+      let nn = 2 * d.Dtsp.n and flat = Dense.sym_flat d in
+      List.iteri
+        (fun p pi ->
+          let w, deg = Held_karp.one_tree k pi in
+          let w', deg' = Dense.one_tree ~n:nn flat pi in
+          if Int64.bits_of_float w <> Int64.bits_of_float w' then
+            QCheck2.Test.fail_reportf "pi #%d: weight %h, oracle %h" p w w';
+          if deg <> deg' then
+            QCheck2.Test.fail_reportf "pi #%d: degrees differ" p)
+        (random_pis seed d);
+      true)
+
+(* the directed bound against the dense loop, with the upper bound set
+   to the exact optimum (the integral stop fires), to a solved tour's
+   cost and to a loose value *)
+let prop_hk_bound_oracle =
+  let config =
+    { Held_karp.iterations = 1_500; lambda0 = 2.0; patience = 40 }
+  in
+  QCheck2.Test.make ~count:120
+    ~name:"directed_bound = dense subgradient loop's bound" gen_seed
+    (fun seed ->
+      let d = random_dtsp seed in
+      let _, st = Iterated.solve d in
+      let tour = st.Iterated.best_cost in
+      let opt =
+        if d.Dtsp.n <= Exact.max_n then [ Exact.optimal_cost d ] else []
+      in
+      List.iter
+        (fun upper_bound ->
+          let got = Held_karp.directed_bound ~config d ~upper_bound in
+          let want = Dense.directed_hk_bound ~config d ~upper_bound in
+          if got <> want then
+            QCheck2.Test.fail_reportf "upper %d: bound %d, oracle %d"
+              upper_bound got want)
+        (opt @ [ tour; (2 * tour) + 10 ]);
+      true)
+
 (* ---------------- workload instances ---------------- *)
 
 (* the real SPEC92 procedures: oracle + neighbors + trajectory on a
@@ -228,6 +294,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_neighbors_random;
           QCheck_alcotest.to_alcotest prop_neighbors_reduction;
+        ] );
+      ( "held-karp",
+        [
+          QCheck_alcotest.to_alcotest prop_hk_kernel_oracle;
+          QCheck_alcotest.to_alcotest prop_hk_bound_oracle;
         ] );
       ( "trajectory",
         [

@@ -1,7 +1,8 @@
 (** Dense O(n²) reference constructions, the oracles the sparse cost
     core is checked against: the reduction's DTSP matrix built with one
-    {!Ba_machine.Model.edge_cost} call per (block, successor) pair, and
-    the 2n×2n symmetrization matrix. *)
+    {!Ba_machine.Model.edge_cost} call per (block, successor) pair, the
+    2n×2n symmetrization matrix, and the Held–Karp 1-tree and
+    subgradient loop run over that whole matrix. *)
 
 open Ba_cfg
 module Profile = Ba_profile.Profile
@@ -95,3 +96,118 @@ let neighbors ~nn ~inf cost ~k =
       Array.sort compare arr;
       let arr = if Array.length arr <= k then arr else Array.sub arr 0 k in
       Array.map (fun (_, _, b) -> b) arr)
+
+(** The minimum 1-tree under π-modified weights over a flat row-major
+    n×n matrix, every pair relaxed: Prim over cities 1..n−1 rooted at 1
+    (ties to the lowest city) plus the two cheapest edges at city 0.
+    Returns the modified weight and the degree of every city. *)
+let one_tree ~n (cost : int array) (pi : float array) =
+  let w u v = float_of_int cost.((u * n) + v) +. pi.(u) +. pi.(v) in
+  let deg = Array.make n 0 in
+  let in_tree = Array.make n false in
+  let best = Array.make n infinity and parent = Array.make n (-1) in
+  in_tree.(1) <- true;
+  for v = 2 to n - 1 do
+    best.(v) <- w 1 v;
+    parent.(v) <- 1
+  done;
+  let weight = ref 0.0 in
+  for _ = 2 to n - 1 do
+    let u = ref (-1) in
+    for v = 2 to n - 1 do
+      if (not in_tree.(v)) && (!u < 0 || best.(v) < best.(!u)) then u := v
+    done;
+    let u = !u in
+    in_tree.(u) <- true;
+    weight := !weight +. best.(u);
+    deg.(u) <- deg.(u) + 1;
+    deg.(parent.(u)) <- deg.(parent.(u)) + 1;
+    for v = 2 to n - 1 do
+      if (not in_tree.(v)) && w u v < best.(v) then begin
+        best.(v) <- w u v;
+        parent.(v) <- u
+      end
+    done
+  done;
+  let e1 = ref (-1) and e2 = ref (-1) in
+  for v = 1 to n - 1 do
+    if !e1 < 0 || w 0 v < w 0 !e1 then begin
+      e2 := !e1;
+      e1 := v
+    end
+    else if !e2 < 0 || w 0 v < w 0 !e2 then e2 := v
+  done;
+  weight := !weight +. w 0 !e1 +. w 0 !e2;
+  deg.(0) <- 2;
+  deg.(!e1) <- deg.(!e1) + 1;
+  deg.(!e2) <- deg.(!e2) + 1;
+  (!weight, deg)
+
+(** The flat row-major copy of {!sym}, the layout {!one_tree} reads. *)
+let sym_flat (d : Dtsp.t) = Array.concat (Array.to_list (sym d))
+
+(** The Held–Karp subgradient ascent over the dense 1-tree, as a float:
+    Polyak steps with momentum, λ halved after [patience] iterations
+    without improvement, stopped at the iteration cap, a tour-shaped
+    1-tree, λ < 1e-6, or a float bound within 1e-9 of [upper_bound]. *)
+let hk_bound ?(config = Ba_tsp.Held_karp.default) ~n (cost : int array)
+    ~upper_bound : float =
+  if n = 2 then float_of_int (2 * cost.(1))
+  else begin
+    let pi = Array.make n 0.0 in
+    let prev_grad = Array.make n 0.0 in
+    let best = ref neg_infinity in
+    let lambda = ref config.Ba_tsp.Held_karp.lambda0 in
+    let since_improve = ref 0 in
+    let iter = ref 0 in
+    let continue = ref true in
+    while !continue && !iter < config.Ba_tsp.Held_karp.iterations do
+      incr iter;
+      let weight, deg = one_tree ~n cost pi in
+      let sum_pi = Array.fold_left ( +. ) 0.0 pi in
+      let l = weight -. (2.0 *. sum_pi) in
+      if l > !best then begin
+        best := l;
+        since_improve := 0;
+        if l >= float_of_int upper_bound -. 1e-9 then continue := false
+      end
+      else begin
+        incr since_improve;
+        if !since_improve >= config.Ba_tsp.Held_karp.patience then begin
+          lambda := !lambda /. 2.0;
+          since_improve := 0
+        end
+      end;
+      let norm2 = ref 0.0 in
+      for v = 0 to n - 1 do
+        let g = float_of_int (deg.(v) - 2) in
+        norm2 := !norm2 +. (g *. g)
+      done;
+      if !norm2 = 0.0 then continue := false
+      else if !lambda < 1e-6 then continue := false
+      else begin
+        let gap = float_of_int upper_bound -. l in
+        let gap = if gap <= 0.0 then 1.0 else gap in
+        let t = !lambda *. gap /. !norm2 in
+        for v = 0 to n - 1 do
+          let g =
+            (0.7 *. float_of_int (deg.(v) - 2)) +. (0.3 *. prev_grad.(v))
+          in
+          prev_grad.(v) <- g;
+          pi.(v) <- pi.(v) +. (t *. g)
+        done
+      end
+    done;
+    !best
+  end
+
+(** The integer directed bound of {!hk_bound} on the dense symmetric
+    matrix: shifted back by the locked-edge offset n·m, rounded up. *)
+let directed_hk_bound ?config (d : Dtsp.t) ~upper_bound : int =
+  let n = d.Dtsp.n in
+  let m = (2 * Dtsp.max_cost d) + 2 in
+  let offset = n * m in
+  let b =
+    hk_bound ?config ~n:(2 * n) (sym_flat d) ~upper_bound:(upper_bound - offset)
+  in
+  int_of_float (Float.ceil (b +. float_of_int offset -. 1e-6))
